@@ -92,6 +92,32 @@
 // and tile-width override (internal/engine Params.Mode, Params.TileWords)
 // exist for the repository's own benchmarks and equivalence tests.
 //
+// The per-(round, vertex) draw is the unit of work of every round, so its
+// setup cost matters as much as the scan. xrand.StreamValue seeds
+// xoshiro256** with the splitmix64 words s0..s3 of
+// x = seed ^ (key·C₁ + C₂); its first output is rotl(s1·5, 7)·9 and its
+// second rotl((s0⊕s1⊕s2)·5, 7)·9, so s3 enters only from the third. A
+// kernel whose parameters need at most two words per vertex — non-lazy,
+// Rho = 0, b ≤ 2, decided once per kernel — draws through xrand.Prefix:
+// two splitmix64 mixes, three for the second word, instead of seeding all
+// four, with the Lemire bound applied to the raw word and the target read
+// straight from the CSR arrays. The stream derivation is unchanged; the
+// prefix is the same stream's first two words. A vertex falls back to the
+// reference draw, starting over from its first word, whenever the prefix
+// cannot vouch for the reference result: a Lemire low half below the
+// degree (where Uint64n may reject and draw again, probability deg/2^64)
+// or an all-zero s0|s1|s2 (where Reseed's zero-state guard may fire). BIPS
+// prefix kernels draw both pulls and combine them without a branch on the
+// first, and dense BIPS rounds assemble each next word from its 64
+// decisions: mid-epidemic the early exit is a coin flip the branch
+// predictor loses. Lazy, Rho > 0 and b ≥ 3 kernels keep the reference
+// draw. Measured on one core of a 2-vCPU Xeon VM (go1.24.0, b = 2,
+// interleaved runs, medians): a COBRA trial on rreg:200000:3 79 → 46 ms,
+// BIPS 143 → 114 ms, COBRA on rreg:1024:3 0.24 → 0.14 ms, with the
+// reference kernels unchanged. An oracle property test
+// (internal/engine/prefix_test.go) pins every path to draws made through
+// StreamValue, crafted seeds included that force the fallback.
+//
 // # Batch campaigns and the cobrad service
 //
 // The paper's theorems are statements about distributions over many

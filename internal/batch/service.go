@@ -735,16 +735,7 @@ func (s *Server) runJob(job *Job) {
 		fail(err)
 		return
 	}
-	now := time.Now()
-	job.mu.Lock()
-	job.final = agg
-	job.state = StateDone
-	job.finished = now
-	completed := job.completed
-	job.bumpLocked()
-	job.mu.Unlock()
-	s.countTerminal(job, StateDone)
-	s.sealJob(job, StateDone, completed, now, agg, "")
+	s.sealDone(job, agg, func() { job.final = agg })
 }
 
 // requeuePreempted handles a run attempt that stopped because the job
@@ -844,6 +835,29 @@ func (s *Server) sealJob(job *Job, state JobState, completed int, finished time.
 	s.finishJob(job)
 }
 
+// sealDone finishes a job that ran every trial, durable before visible:
+// the terminal record is written and fsynced (outside job.mu) before the
+// done state is published, so any reader that sees done — a status poll,
+// a results stream's "complete" trailer — finds the journal sealed, and
+// a recovery after that point restores the job instead of re-running
+// it. setFinal stores the final aggregate and runs under job.mu.
+func (s *Server) sealDone(job *Job, final any, setFinal func()) {
+	now := time.Now()
+	job.mu.Lock()
+	completed := job.completed
+	job.mu.Unlock()
+	persisted := job.sink.finish(StateDone, completed, now, final, "")
+	job.mu.Lock()
+	setFinal()
+	job.state = StateDone
+	job.finished = now
+	job.persisted = persisted
+	job.bumpLocked()
+	job.mu.Unlock()
+	s.countTerminal(job, StateDone)
+	s.finishJob(job)
+}
+
 // runSweepJob executes a sweep job against the server's shared graph
 // cache, accumulating results in (cell, trial) order and tracking each
 // cell's scheduler phase for the status endpoint. A resumed sweep (a
@@ -935,16 +949,7 @@ func (s *Server) runSweepJob(job *Job, runCtx context.Context, cancelRun context
 	for i := range cells {
 		cells[i].Phase = CellDone
 	}
-	now := time.Now()
-	job.mu.Lock()
-	job.cellFinal = cells
-	job.state = StateDone
-	job.finished = now
-	completed := job.completed
-	job.bumpLocked()
-	job.mu.Unlock()
-	s.countTerminal(job, StateDone)
-	s.sealJob(job, StateDone, completed, now, cells, "")
+	s.sealDone(job, cells, func() { job.cellFinal = cells })
 }
 
 // handleCampaigns serves POST (submit) and GET (list) on /v1/campaigns.

@@ -242,6 +242,67 @@ func waitCompleted(t *testing.T, ts *httptest.Server, path string, n int) {
 	}
 }
 
+// Durable before visible: a results follower that sees the "complete"
+// trailer must find the job's journal sealed on disk, so a crash at that
+// moment restores the job rather than re-running it. Several jobs per
+// kind widen the window in which done could be published before the
+// terminal record is fsynced.
+func TestServiceDoneIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	svc, ts := newPersistentServer(t, dir, ServerConfig{CampaignWorkers: 1})
+	defer svc.Close()
+	defer ts.Close()
+	reader, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaign := testSpec()
+	campaign.Trials = 8
+	sweep := SweepSpec{Graphs: []string{"cycle:64"}, Processes: []string{"cobra", "bips"}, Branches: []int{2}, Trials: 4, Seed: 3}
+	for i := 0; i < 4; i++ {
+		campaign.Seed = uint64(20 + i)
+		sweep.Seed = uint64(30 + i)
+		cid := postCampaign(t, ts, campaign)
+		sid := postSweep(t, ts, sweep)
+		for _, job := range []struct{ id, results string }{
+			{cid, "/v1/campaigns/" + cid + "/results"},
+			{sid, "/v1/sweeps/" + sid + "/results"},
+		} {
+			if _, trailer := fetchRaw(t, ts, job.results); trailer != StreamComplete {
+				t.Fatalf("%s: trailer %q", job.results, trailer)
+			}
+			recs, err := reader.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed := false
+			for _, rec := range recs {
+				if rec.Header.ID == job.id {
+					sealed = rec.Terminal != nil && rec.Terminal.State == string(StateDone)
+				}
+			}
+			if !sealed {
+				t.Fatalf("%s streamed complete before its journal was sealed", job.results)
+			}
+			// The terminal record can reach the file before its fsync
+			// returns; persisted is set only after it, so it also
+			// catches done published between the write and the fsync.
+			svc.mu.Lock()
+			j := svc.jobs[job.id]
+			if j == nil {
+				j = svc.sweeps[job.id]
+			}
+			svc.mu.Unlock()
+			j.mu.Lock()
+			persisted := j.persisted
+			j.mu.Unlock()
+			if !persisted {
+				t.Fatalf("%s streamed complete before its journal was fsynced", job.results)
+			}
+		}
+	}
+}
+
 // Bounded retention: beyond RetainResults finished jobs, the oldest
 // jobs' result slices leave RAM — status and aggregates stay, results
 // re-serve byte-identically from the journal (the memory-retention

@@ -19,19 +19,47 @@ import (
 // Θ(vol(A_t)) work, and agrees bit for bit with the dense Θ(n) scan
 // because each vertex's decision is a pure function of its own stream.
 
-// bipsInfected draws u's pulls from its (round, u) stream and reports
-// whether any lies in the current infected set. Early exit on the first
-// hit is safe: the rest of the stream is never consumed elsewhere.
-func (k *Kernel) bipsInfected(u int) bool {
+// bipsHit reports as 0 or 1 whether u joins the next frontier: the
+// persistent source always does, any other vertex iff one of its pulls
+// lies in the current infected set, whose words are cur. The 0/1 form
+// lets word-scanning callers assemble next words without a branch.
+//
+// Prefix kernels (prefix.go) draw both pulls from the stream prefix and
+// combine them without branching on the first: at mid-epidemic densities
+// the early exit is a coin flip the branch predictor loses. The rest take
+// the reference draw, whose early exit on the first hit is safe because
+// the rest of the stream is never consumed elsewhere.
+func (k *Kernel) bipsHit(u int, cur []uint64) uint64 {
+	if u == k.source {
+		return 1
+	}
+	if k.prefix {
+		p := xrand.StreamPrefix(k.seed, streamKey(k.round, u))
+		lo := k.off[u]
+		deg := uint64(k.off[u+1] - lo)
+		i1, ok := xrand.Bounded(p.First(), deg)
+		t := uint32(k.adj[lo+int32(i1)])
+		hit := cur[t>>6] >> (t & 63) & 1
+		if k.par.Branch == 2 {
+			w, ok2 := p.Second()
+			i2, ok3 := xrand.Bounded(w, deg)
+			t = uint32(k.adj[lo+int32(i2)])
+			hit |= cur[t>>6] >> (t & 63) & 1
+			ok = ok && ok2 && ok3
+		}
+		if ok {
+			return hit
+		}
+	}
 	rng := xrand.StreamValue(k.seed, streamKey(k.round, u))
 	b := k.drawCount(&rng)
 	deg := k.g.Degree(u)
 	for i := 0; i < b; i++ {
 		if k.cur.Contains(k.drawTarget(u, deg, &rng)) {
-			return true
+			return 1
 		}
 	}
-	return false
+	return 0
 }
 
 // bipsSparse evaluates only the candidate superset N(A) ∪ {source}
@@ -61,9 +89,9 @@ func (k *Kernel) bipsSparse() {
 	}
 	k.newList = k.newList[:0]
 	if nw := k.parallelRounds(len(k.candList)); nw <= 1 {
+		cur := k.cur.Words()
 		for _, u32 := range k.candList {
-			u := int(u32)
-			if u == k.source || k.bipsInfected(u) {
+			if k.bipsHit(int(u32), cur) != 0 {
 				k.newList = append(k.newList, u32)
 			}
 		}
@@ -91,6 +119,7 @@ func (k *Kernel) bipsSparse() {
 // bipsEvalParallel fans candidate decisions across workers into worker-
 // local buffers (candidates are distinct, so no claims are needed).
 func (k *Kernel) bipsEvalParallel(nw int) {
+	cur := k.cur.Words()
 	var wg sync.WaitGroup
 	chunk := (len(k.candList) + nw - 1) / nw
 	for w := 0; w < nw; w++ {
@@ -109,7 +138,7 @@ func (k *Kernel) bipsEvalParallel(nw int) {
 			buf := k.bufs[w][:0]
 			for _, u32 := range cands {
 				u := int(u32)
-				if u == k.source || k.bipsInfected(u) {
+				if k.bipsHit(u, cur) != 0 {
 					buf = append(buf, u32)
 				}
 			}
@@ -127,10 +156,11 @@ func (k *Kernel) bipsEvalParallel(nw int) {
 // touch disjoint words and need no atomics.
 func (k *Kernel) bipsDense() {
 	n := k.g.N()
+	cur := k.cur.Words()
 	k.nextPlain.Reset()
 	if nw := k.parallelRounds(n); nw <= 1 {
 		for u := 0; u < n; u++ {
-			if u == k.source || k.bipsInfected(u) {
+			if k.bipsHit(u, cur) != 0 {
 				k.nextPlain.Set(u)
 			}
 		}
@@ -151,7 +181,7 @@ func (k *Kernel) bipsDense() {
 			go func(lo, hi int) {
 				defer wg.Done()
 				for u := lo; u < hi; u++ {
-					if u == k.source || k.bipsInfected(u) {
+					if k.bipsHit(u, cur) != 0 {
 						k.nextPlain.Set(u)
 					}
 				}

@@ -48,15 +48,19 @@ func (k *Kernel) cobraSparse() {
 	if nw := k.parallelRounds(len(k.curList)); nw <= 1 {
 		for _, v32 := range k.curList {
 			v := int(v32)
+			if k.prefix {
+				if t1, t2, ok := k.cobraPrefix(v); ok {
+					k.stampPush(t1)
+					k.stampPush(t2)
+					sent += int64(k.par.Branch)
+					continue
+				}
+			}
 			rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
 			b := k.drawCount(&rng)
 			deg := k.g.Degree(v)
 			for i := 0; i < b; i++ {
-				t := k.drawTarget(v, deg, &rng)
-				if k.stamp[t] != k.epoch {
-					k.stamp[t] = k.epoch
-					k.newList = append(k.newList, int32(t))
-				}
+				k.stampPush(k.drawTarget(v, deg, &rng))
 			}
 			sent += int64(b)
 		}
@@ -113,6 +117,18 @@ func (k *Kernel) cobraSparseParallel(nw int) int64 {
 			var sent int64
 			for _, v32 := range verts {
 				v := int(v32)
+				if k.prefix {
+					if t1, t2, ok := k.cobraPrefix(v); ok {
+						if k.claimStamp(t1) {
+							buf = append(buf, int32(t1))
+						}
+						if k.claimStamp(t2) {
+							buf = append(buf, int32(t2))
+						}
+						sent += int64(k.par.Branch)
+						continue
+					}
+				}
 				rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
 				b := k.drawCount(&rng)
 				deg := k.g.Degree(v)
@@ -135,6 +151,15 @@ func (k *Kernel) cobraSparseParallel(nw int) int64 {
 		sent += k.sentParts[w]
 	}
 	return sent
+}
+
+// stampPush adds t to the serial sparse next frontier unless this round
+// already stamped it.
+func (k *Kernel) stampPush(t int) {
+	if k.stamp[t] != k.epoch {
+		k.stamp[t] = k.epoch
+		k.newList = append(k.newList, int32(t))
+	}
 }
 
 // claimStamp marks t in the current stamp generation; true if this caller
@@ -166,6 +191,14 @@ func (k *Kernel) cobraDense() {
 			for word != 0 {
 				v := base + bits.TrailingZeros64(word)
 				word &= word - 1
+				if k.prefix {
+					if t1, t2, ok := k.cobraPrefix(v); ok {
+						k.nextPlain.Set(t1)
+						k.nextPlain.Set(t2)
+						sent += int64(k.par.Branch)
+						continue
+					}
+				}
 				rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
 				b := k.drawCount(&rng)
 				deg := k.g.Degree(v)
@@ -216,6 +249,14 @@ func (k *Kernel) cobraDenseParallel(words []uint64, nw int) int64 {
 				for word != 0 {
 					v := base + bits.TrailingZeros64(word)
 					word &= word - 1
+					if k.prefix {
+						if t1, t2, ok := k.cobraPrefix(v); ok {
+							k.nextAtomic.Set(t1)
+							k.nextAtomic.Set(t2)
+							sent += int64(k.par.Branch)
+							continue
+						}
+					}
 					rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
 					b := k.drawCount(&rng)
 					deg := k.g.Degree(v)

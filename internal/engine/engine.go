@@ -164,6 +164,11 @@ type Kernel struct {
 	workers  int
 	denseDiv int
 
+	// Prefix draws (prefix.go): prefix is decided once per kernel from
+	// Params; off/adj are the graph's CSR arrays hoisted for its loops.
+	prefix   bool
+	off, adj []int32
+
 	// Frontier state. cur is always authoritative; curList mirrors it
 	// when curListOK (maintained by sparse rounds, rebuilt on demand).
 	// frontierVol is trusted when volOK — tiled dense rounds fuse the
@@ -316,6 +321,8 @@ func newKernel(g *graph.Graph, kind Kind, par Params, seed uint64, ws *Workspace
 	k.seed = seed
 	k.workers = workers
 	k.denseDiv = denseDiv
+	k.prefix = prefixOK(par)
+	k.off, k.adj = g.CSR()
 	if tw := par.TileWords; tw >= 0 && par.Mode != ForceSparse {
 		if tw == 0 {
 			tw = DefaultTileWords

@@ -212,6 +212,14 @@ func (k *Kernel) cobraTileScanPlain() int64 {
 			for word != 0 {
 				v := base + bits.TrailingZeros64(word)
 				word &= word - 1
+				if k.prefix {
+					if t1, t2, ok := k.cobraPrefix(v); ok {
+						k.nextPlain.Set(t1)
+						k.nextPlain.Set(t2)
+						sent += int64(k.par.Branch)
+						continue
+					}
+				}
 				rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
 				b := k.drawCount(&rng)
 				deg := k.g.Degree(v)
@@ -246,20 +254,33 @@ func (k *Kernel) cobraTileScanAtomic() int64 {
 			for word != 0 {
 				v := base + bits.TrailingZeros64(word)
 				word &= word - 1
+				if k.prefix {
+					if t1, t2, ok := k.cobraPrefix(v); ok {
+						k.tilePush(t1, vlo, vhi)
+						k.tilePush(t2, vlo, vhi)
+						sent += int64(k.par.Branch)
+						continue
+					}
+				}
 				rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
 				b := k.drawCount(&rng)
 				deg := k.g.Degree(v)
 				for i := 0; i < b; i++ {
-					tgt := k.drawTarget(v, deg, &rng)
-					if tgt >= vlo && tgt < vhi {
-						k.nextPlain.Set(tgt)
-					} else {
-						k.nextAtomic.Set(tgt)
-					}
+					k.tilePush(k.drawTarget(v, deg, &rng), vlo, vhi)
 				}
 				sent += int64(b)
 			}
 		}
+	}
+}
+
+// tilePush records a pool-worker push: plain for targets inside the
+// scanned tile's vertex range [vlo, vhi), atomic for the rest.
+func (k *Kernel) tilePush(t, vlo, vhi int) {
+	if t >= vlo && t < vhi {
+		k.nextPlain.Set(t)
+	} else {
+		k.nextAtomic.Set(t)
 	}
 }
 
@@ -337,32 +358,35 @@ func (k *Kernel) bipsDenseTiled() {
 	k.volOK = true
 }
 
-// bipsTileScan re-decides the vertices of its claimed tiles, zeroing each
-// tile's next words first (the swap leaves the previous frontier behind)
-// and fusing the tile's frontier count and volume into the scratch.
+// bipsTileScan re-decides the vertices of its claimed tiles, assembling
+// each next word from its 64 decisions without a data-dependent branch
+// (the store overwrites what the swap left behind), and fuses the tile's
+// frontier count and volume into the scratch.
 func (k *Kernel) bipsTileScan() {
 	n := k.g.N()
+	cur := k.cur.Words()
 	for {
 		t := k.nextTile()
 		if t < 0 {
 			return
 		}
 		lo, hi := k.tileSpan(t)
-		for wi := lo; wi < hi; wi++ {
-			k.nextPlain.SetWord(wi, 0)
-		}
 		var tn int32
 		var tvol int64
-		uhi := hi * 64
-		if uhi > n {
-			uhi = n
-		}
-		for u := lo * 64; u < uhi; u++ {
-			if u == k.source || k.bipsInfected(u) {
-				k.nextPlain.Set(u)
-				tn++
-				tvol += int64(k.g.Degree(u))
+		for wi := lo; wi < hi; wi++ {
+			base := wi * 64
+			uhi := base + 64
+			if uhi > n {
+				uhi = n
 			}
+			var next uint64
+			for u := base; u < uhi; u++ {
+				hit := k.bipsHit(u, cur)
+				next |= hit << uint(u-base)
+				tvol += int64(hit) * int64(k.g.Degree(u))
+			}
+			k.nextPlain.SetWord(wi, next)
+			tn += int32(bits.OnesCount64(next))
 		}
 		k.tileN[t], k.tileVol[t] = tn, tvol
 	}

@@ -155,6 +155,12 @@ func (g *Graph) Neighbors(v int) []int32 {
 	return g.adj[g.off[v]:g.off[v+1]]
 }
 
+// CSR returns the graph's compressed sparse rows: the neighbours of v are
+// adj[off[v]:off[v+1]], sorted. Both slices alias the graph's internal
+// storage and must not be modified. This is the access path for hot loops
+// that hoist the adjacency out of per-vertex method calls.
+func (g *Graph) CSR() (off, adj []int32) { return g.off, g.adj }
+
 func (g *Graph) neighborsMut(v int) []int32 {
 	return g.adj[g.off[v]:g.off[v+1]]
 }

@@ -182,6 +182,9 @@ type Journal struct {
 	finished bool
 }
 
+// errFinished is the sticky error of a journal after Finish or Close.
+var errFinished = errors.New("store: journal is finished")
+
 // sync fsyncs the journal file, timing the call.
 func (j *Journal) sync() error {
 	start := time.Now()
@@ -281,10 +284,13 @@ func (j *Journal) Finish(t Terminal) error {
 		return err
 	}
 	j.finished = true
-	if err := j.f.Close(); err != nil {
+	err = j.f.Close()
+	j.release()
+	if err != nil {
 		j.err = fmt.Errorf("store: close: %w", err)
+		return j.err
 	}
-	return j.err
+	return nil
 }
 
 // Close flushes and closes the journal without a terminal record —
@@ -303,7 +309,20 @@ func (j *Journal) Close() error {
 		}
 	}
 	j.finished = true
-	return j.err
+	err := j.err
+	j.release()
+	return err
+}
+
+// release drops the write buffer of a journal whose file is closed: the
+// owning job can outlive its journal by a long time, and the buffer is
+// 64 KiB. Later Append/Commit/Finish calls return the sticky error
+// (errFinished unless an earlier failure is already recorded).
+func (j *Journal) release() {
+	j.w = nil
+	if j.err == nil {
+		j.err = errFinished
+	}
 }
 
 // Reset truncates a recovered journal back to its header, returning an

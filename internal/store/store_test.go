@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -106,6 +107,53 @@ func TestJournalLifecycle(t *testing.T) {
 	// Duplicate ids are a bug, not an overwrite.
 	if _, err := s.Create(testHeader("c000001")); err == nil {
 		t.Fatal("duplicate journal created")
+	}
+}
+
+// A finished or closed journal drops its 64 KiB write buffer (its job
+// keeps the journal handle for life), and later writes return the sticky
+// error instead of dereferencing the released buffer or writing past the
+// terminal record.
+func TestJournalReleasedAfterFinishOrClose(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	term := Terminal{State: "done", Completed: 1, Finished: time.Now().UTC()}
+	for _, end := range []struct {
+		name string
+		fn   func(*Journal) error
+	}{
+		{"finish", func(j *Journal) error { return j.Finish(term) }},
+		{"close", func(j *Journal) error { return j.Close() }},
+	} {
+		t.Run(end.name, func(t *testing.T) {
+			id := "c0000" + end.name[:2]
+			j := mustCreate(t, s, id)
+			record(t, j, 0, 5)
+			if err := end.fn(j); err != nil {
+				t.Fatal(err)
+			}
+			if j.w != nil {
+				t.Fatal("write buffer still held after the journal ended")
+			}
+			if err := j.Append([]byte(`{"trial":1}`)); !errors.Is(err, errFinished) {
+				t.Fatalf("Append after end: %v, want errFinished", err)
+			}
+			if err := j.Commit(); !errors.Is(err, errFinished) {
+				t.Fatalf("Commit after end: %v, want errFinished", err)
+			}
+			if err := j.Finish(term); !errors.Is(err, errFinished) {
+				t.Fatalf("Finish after end: %v, want errFinished", err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatalf("repeated Close: %v", err)
+			}
+			rec := recoverOne(t, s, id)
+			if rec.Results != 1 || (rec.Terminal != nil) != (end.name == "finish") {
+				t.Fatalf("recovered %d results, terminal %+v", rec.Results, rec.Terminal)
+			}
+		})
 	}
 }
 

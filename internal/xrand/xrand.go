@@ -29,16 +29,31 @@ type RNG struct {
 	s0, s1, s2, s3 uint64
 }
 
-// golden is 2^64 / phi, the splitmix64 increment.
-const golden = 0x9e3779b97f4a7c15
+// golden is 2^64 / phi, the splitmix64 increment; golden2 and golden3
+// are its multiples 2·golden and 3·golden modulo 2^64.
+const (
+	golden  = 0x9e3779b97f4a7c15
+	golden2 = 0x3c6ef372fe94f82a
+	golden3 = 0xdaa66d2c7ddf743f
+)
 
 // splitmix64 advances *x and returns the next splitmix64 output.
 func splitmix64(x *uint64) uint64 {
 	*x += golden
-	z := *x
+	return mix64(*x)
+}
+
+// mix64 is splitmix64's output function: the i-th output (1-based) of a
+// splitmix64 sequence seeded with x is mix64(x + i·golden).
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// scramble is xoshiro256**'s output function of the state word s1.
+func scramble(s1 uint64) uint64 {
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // New returns a generator seeded from the given seed. Any seed value,
@@ -62,11 +77,64 @@ func NewStream(seed, stream uint64) *RNG {
 // (the per-(round, vertex) draws of the frontier engine). The sequence is
 // bit-identical to NewStream(seed, stream).
 func StreamValue(seed, stream uint64) RNG {
-	// Scramble the stream index by an odd constant so that consecutive
-	// stream indices land far apart in splitmix64's sequence space.
 	var r RNG
-	r.Reseed(seed ^ (stream*0xd1342543de82ef95 + 0x632be59bd9b4e019))
+	r.Reseed(streamSeed(seed, stream))
 	return r
+}
+
+// streamSeed is the splitmix64 seed of stream `stream` under a master
+// seed. The stream index is scrambled by an odd constant so that
+// consecutive indices land far apart in splitmix64's sequence space.
+func streamSeed(seed, stream uint64) uint64 {
+	return seed ^ (stream*0xd1342543de82ef95 + 0x632be59bd9b4e019)
+}
+
+// Prefix is the first two outputs of the stream StreamValue(seed, stream),
+// derived without seeding the generator. Reseed sets s0..s3 to the
+// splitmix64 words mix64(x + i·golden), i = 1..4; the first output is
+// scramble(s1) and the second is scramble(s0^s1^s2), so s3 enters only
+// from the third output on. A caller that needs at most two words pays
+// two splitmix64 mixes (three with Second) against four for the full
+// state, in code small enough to inline into its loop. The sequence is
+// unchanged: First and Second are bit-identical to the stream's first two
+// Uint64 calls.
+//
+// A caller that needs a third word, or that gets ok == false, draws from
+// StreamValue(seed, stream) instead, starting over from the first word.
+type Prefix struct {
+	x, s0, s1 uint64
+}
+
+// StreamPrefix returns the two-word prefix of StreamValue(seed, stream).
+// s0 is mixed here rather than in Second, which keeps both functions
+// within the compiler's inlining budget.
+func StreamPrefix(seed, stream uint64) Prefix {
+	x := streamSeed(seed, stream)
+	return Prefix{x: x, s0: mix64(x + golden), s1: mix64(x + golden2)}
+}
+
+// First returns the stream's first output.
+func (p Prefix) First() uint64 { return scramble(p.s1) }
+
+// Second returns the stream's second output. ok is false when s0, s1 and
+// s2 are all zero: Reseed's zero-state guard may then rewrite s0, and
+// only the full generator can tell.
+func (p Prefix) Second() (w uint64, ok bool) {
+	return second(p.s0, p.s1, mix64(p.x+golden3))
+}
+
+// second is the stream's second output from the seeded words s0..s2.
+func second(s0, s1, s2 uint64) (uint64, bool) {
+	return scramble(s0 ^ s1 ^ s2), s0|s1|s2 != 0
+}
+
+// Bounded maps one output word onto [0, n) as Uint64n does on its first
+// draw (Lemire's multiply-shift). ok is false when the low half of the
+// product is below n: Uint64n may then reject the word and draw again,
+// so the caller must fall back to the full generator.
+func Bounded(word, n uint64) (v uint64, ok bool) {
+	hi, lo := bits.Mul64(word, n)
+	return hi, lo >= n
 }
 
 // Reseed resets the generator state from seed, as New does.
@@ -85,7 +153,7 @@ func (r *RNG) Reseed(seed uint64) {
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := bits.RotateLeft64(r.s1*5, 7) * 9
+	result := scramble(r.s1)
 	t := r.s1 << 17
 	r.s2 ^= r.s0
 	r.s3 ^= r.s1

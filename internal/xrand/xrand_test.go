@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -305,4 +306,112 @@ func BenchmarkIntn(b *testing.B) {
 		sink += r.Intn(1000003)
 	}
 	_ = sink
+}
+
+// streamFor inverts streamSeed: it returns the stream index whose
+// splitmix64 seed under master seed is x, so tests can craft streams with
+// chosen state words (stream·C is a bijection because C is odd).
+func streamFor(seed, x uint64) uint64 {
+	const c = 0xd1342543de82ef95
+	inv := uint64(c) // Newton's iteration for c⁻¹ mod 2^64
+	for i := 0; i < 5; i++ {
+		inv *= 2 - c*inv
+	}
+	return ((x ^ seed) - 0x632be59bd9b4e019) * inv
+}
+
+// checkPrefix compares a stream's Prefix against its reference generator:
+// First and Second must equal the first two Uint64 outputs, and Bounded
+// must agree with Uint64n whenever it vouches for its result.
+func checkPrefix(t *testing.T, seed, stream, n uint64) {
+	t.Helper()
+	p := StreamPrefix(seed, stream)
+	ref := NewStream(seed, stream)
+	w1, w2 := ref.Uint64(), ref.Uint64()
+	if p.First() != w1 {
+		t.Fatalf("(%#x,%#x): First %#x, stream %#x", seed, stream, p.First(), w1)
+	}
+	if w, ok := p.Second(); !ok || w != w2 {
+		t.Fatalf("(%#x,%#x): Second %#x/%v, stream %#x", seed, stream, w, ok, w2)
+	}
+	if v, ok := Bounded(w1, n); ok {
+		if want := NewStream(seed, stream).Uint64n(n); v != want {
+			t.Fatalf("(%#x,%#x): Bounded(·,%d) = %d, Uint64n %d", seed, stream, n, v, want)
+		}
+	}
+}
+
+// Property: the prefix is bit-identical to the stream it shortcuts.
+func TestStreamPrefixMatchesStreamProperty(t *testing.T) {
+	f := func(seed, stream, n uint64) bool {
+		checkPrefix(t, seed, stream, n|1)
+		checkPrefix(t, seed, stream&0xffffffff, 3) // engine-shaped keys, small degree
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Crafted streams put a zero in each seeded word the prefix reads. A zero
+// s1 makes the first output 0, whose Lemire low half (0) lies below every
+// bound, so Bounded must refuse it: Uint64n(3) rejects that word and
+// draws again, which only the full generator can do.
+func TestStreamPrefixCraftedWords(t *testing.T) {
+	const seed = 0x5eed
+	g := uint64(golden)
+	// x = -i·golden zeroes seeded word s_{i-1}: s0, s1, s2, then s3.
+	for i, x := range []uint64{-g, -(2 * g), -(3 * g), -(4 * g)} {
+		stream := streamFor(seed, x)
+		if streamSeed(seed, stream) != x {
+			t.Fatalf("streamFor(%#x) missed", x)
+		}
+		checkPrefix(t, seed, stream, 3)
+		if i != 1 {
+			continue
+		}
+		p := StreamPrefix(seed, stream)
+		if p.First() != 0 {
+			t.Fatalf("s1 = 0 should give a zero first word, got %#x", p.First())
+		}
+		if _, ok := Bounded(p.First(), 3); ok {
+			t.Fatal("Bounded accepted a word Uint64n rejects")
+		}
+		r := NewStream(seed, stream)
+		r.Uint64()
+		want, _ := bits.Mul64(r.Uint64(), 3)
+		if got := NewStream(seed, stream).Uint64n(3); got != want {
+			t.Fatalf("Uint64n(3) = %d, want %d from the second word", got, want)
+		}
+	}
+}
+
+// Bounded's refusal zone is exactly the words whose low product half is
+// below n; every other word maps as Uint64n maps it.
+func TestBoundedRejectZone(t *testing.T) {
+	for _, n := range []uint64{1, 2, 3, 7, 1 << 40, 1<<63 + 5} {
+		for _, w := range []uint64{0, 1, n - 1, ^uint64(0), ^uint64(0) / n, ^uint64(0)/n + 1} {
+			hi, lo := bits.Mul64(w, n)
+			v, ok := Bounded(w, n)
+			if ok != (lo >= n) || v != hi {
+				t.Fatalf("Bounded(%#x, %d) = %d/%v, want %d/%v", w, n, v, ok, hi, lo >= n)
+			}
+		}
+	}
+}
+
+// The zero-state guard cannot be reached through splitmix64 seeding (its
+// output function is a bijection fixing only 0, so at most one seeded
+// word is zero), so it is driven with crafted words: all-zero s0..s2 must
+// refuse, since Reseed may then rewrite s0; any nonzero word must not.
+func TestSecondZeroStateGuard(t *testing.T) {
+	if _, ok := second(0, 0, 0); ok {
+		t.Fatal("second accepted an all-zero state")
+	}
+	for _, s := range [][3]uint64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {golden, 0, golden}} {
+		w, ok := second(s[0], s[1], s[2])
+		if !ok || w != scramble(s[0]^s[1]^s[2]) {
+			t.Fatalf("second%v = %#x/%v", s, w, ok)
+		}
+	}
 }
